@@ -90,28 +90,33 @@ pub struct BenchScenario {
     /// for serial scenarios). Rendered into the non-gated `profile`
     /// section of the JSON.
     pub profile: Vec<iq_obs::PhaseSnapshot>,
-    /// Execute-to-wall utilization: sum of execute time over sum of
-    /// total profiled time across shards (engine plane). 1.0 for a
-    /// serial scenario with no idle/ingress/flush phases.
+    /// Share of the worker pool's capacity spent executing events:
+    /// execute time summed over shards over pool workers × scenario
+    /// wall (engine plane).
     pub utilization: f64,
     /// Shard-scheduler totals (engine plane; all zero for the serial
     /// scenarios — see [`iq_netsim::SchedTotals`]).
     pub sched: iq_netsim::SchedTotals,
 }
 
-/// Execute-to-wall utilization of a (possibly per-shard) phase profile:
-/// total execute nanos over total profiled nanos. Empty or unprofiled
-/// input reports 1.0 (a serial run executes the whole time).
-pub(crate) fn utilization(profile: &[iq_obs::PhaseSnapshot]) -> f64 {
-    let total: u64 = profile.iter().map(|s| s.total_nanos()).sum();
-    if total == 0 {
+/// Busy share of a worker pool: execute nanos summed over a (possibly
+/// per-shard) phase profile, over `workers` × `wall_s` — the time the
+/// pool's workers had. Dividing by the shards' summed profiled time
+/// instead would count every descheduled shard as idle time, so 16
+/// shards on 2 workers could never read above 2/16. A serial scenario
+/// reads below 1.0 by its set-up and aggregation time. Empty or
+/// unprofiled input, or a zero wall time, reports 1.0.
+pub(crate) fn utilization(profile: &[iq_obs::PhaseSnapshot], workers: usize, wall_s: f64) -> f64 {
+    let capacity_ns = workers as f64 * wall_s * 1e9;
+    let profiled: u64 = profile.iter().map(|s| s.total_nanos()).sum();
+    if profiled == 0 || capacity_ns <= 0.0 {
         return 1.0;
     }
     let execute: u64 = profile
         .iter()
         .map(|s| s.nanos[iq_obs::Phase::Execute as usize])
         .sum();
-    execute as f64 / total as f64
+    execute as f64 / capacity_ns
 }
 
 /// One full sweep measurement.
@@ -254,7 +259,7 @@ fn to_bench_scenario(name: String, r: &crate::runner::ScenarioReport) -> BenchSc
         shards: r.shards,
         fingerprint: crate::runner::result_fingerprint(&r.result),
         counter_fingerprint: r.result.obs.sim_fingerprint(),
-        utilization: utilization(&r.result.phase_profile),
+        utilization: r.utilization(),
         sched: r.result.sched,
         profile: r.result.phase_profile.clone(),
     }
@@ -735,16 +740,27 @@ mod tests {
     }
 
     #[test]
-    fn utilization_is_execute_over_total() {
-        assert_eq!(utilization(&[]), 1.0);
-        assert_eq!(utilization(&[iq_obs::PhaseSnapshot::default()]), 1.0);
+    fn utilization_is_busy_over_pool_capacity() {
+        assert_eq!(utilization(&[], 1, 1.0), 1.0);
+        let unprofiled = iq_obs::PhaseSnapshot::default();
+        assert_eq!(utilization(&[unprofiled], 1, 1.0), 1.0);
         let mut a = iq_obs::PhaseSnapshot::default();
         a.nanos[iq_obs::Phase::Execute as usize] = 300;
         a.nanos[iq_obs::Phase::Idle as usize] = 100;
+        assert_eq!(utilization(&[a], 1, 0.0), 1.0);
         let mut b = iq_obs::PhaseSnapshot::default();
         b.nanos[iq_obs::Phase::Flush as usize] = 100;
         b.nanos[iq_obs::Phase::Execute as usize] = 100;
-        assert!((utilization(&[a, b]) - 400.0 / 600.0).abs() < 1e-12);
+        // 400 ns of execute over 2 workers × 250 ns of wall.
+        assert!((utilization(&[a, b], 2, 250e-9) - 0.8).abs() < 1e-12);
+        // More shards than workers: each descheduled shard's profiled
+        // time is not pool capacity, so 16 fully busy shards sharing 2
+        // workers read 1.0, not 2/16.
+        let mut busy = iq_obs::PhaseSnapshot::default();
+        busy.nanos[iq_obs::Phase::Execute as usize] = 125;
+        busy.nanos[iq_obs::Phase::Idle as usize] = 875;
+        let shards = vec![busy; 16];
+        assert!((utilization(&shards, 2, 1000e-9) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -239,6 +239,19 @@ pub struct ScenarioReport {
     pub shards: u32,
 }
 
+impl ScenarioReport {
+    /// Share of the worker pool's capacity spent executing events:
+    /// execute time summed over the shards' phase profiles, over pool
+    /// workers × [`Self::wall_s`]. The pool is the
+    /// [`iq_netsim::pool_workers`] cap of the requested `--shards` over
+    /// the scenario's shards.
+    pub(crate) fn utilization(&self) -> f64 {
+        let profile = &self.result.phase_profile;
+        let workers = iq_netsim::pool_workers(self.shards as usize, profile.len());
+        crate::benchmode::utilization(profile, workers, self.wall_s)
+    }
+}
+
 /// Bit-exact fingerprint of everything a scenario reports, for the
 /// determinism self-check. Floats are compared via `to_bits` — any
 /// difference, however small, is a determinism bug.
@@ -387,7 +400,7 @@ impl Executor {
                         eprintln!(
                             "        sched: {:.0}% utilization, {} steals, {} parks, \
                              {} wakes, {} worker parks",
-                            100.0 * crate::benchmode::utilization(&report.result.phase_profile),
+                            100.0 * report.utilization(),
                             sched.steals,
                             sched.parks,
                             sched.wakes,

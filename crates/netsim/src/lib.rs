@@ -68,7 +68,9 @@ pub use link::{LinkSpec, LinkStats, QueueDiscipline, RedParams};
 pub use packet::{payload, pool_stats, Addr, AgentId, FlowId, LinkId, NodeId, Packet, Payload, PoolStats};
 pub use routing::RoutingTable;
 pub use sched::{EventQueue, EventSource, SchedStats};
-pub use shard::{SchedTotals, ShardAgentId, ShardEventSource, ShardStats, ShardView, ShardedSim};
+pub use shard::{
+    pool_workers, SchedTotals, ShardAgentId, ShardEventSource, ShardStats, ShardView, ShardedSim,
+};
 pub use sim::{SimCounters, Simulator};
 pub use slab::{PacketKey, TimerKey};
 pub use time::{Time, TimeDelta};

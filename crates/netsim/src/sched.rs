@@ -13,12 +13,14 @@
 //!   `near_end`. This is the only structure events are
 //!   popped from, so pop order is exactly the sort order: `(time, seq)`.
 //! * **wheel** — [`LEVELS`] rings of [`SLOTS`] buckets each. Level 0
-//!   buckets span 2^16 ns (≈ 65 µs), each higher level is [`SLOTS`] times
-//!   coarser (≈ 16.8 ms, ≈ 4.3 s). A bucket is a plain `Vec<Event>`
-//!   whose capacity is retained across drains, so steady-state
-//!   scheduling never allocates.
+//!   buckets span 2^20 ns (≈ 1.05 ms), each higher level is [`SLOTS`]
+//!   times coarser (≈ 268 ms, ≈ 68.7 s). A bucket is a plain
+//!   `Vec<Event>`. A drained bucket keeps its buffer for reuse only up
+//!   to [`BUCKET_RETAIN`] events, so steady-state scheduling never
+//!   allocates while a one-off timer burst's buffer is freed rather
+//!   than held by its slot for the rest of the run.
 //! * **far** — a binary heap for events beyond the top level's horizon
-//!   (≈ 18 min ahead). Rare in practice; migrated into the wheel as the
+//!   (≈ 4.9 h ahead). Rare in practice; migrated into the wheel as the
 //!   horizon advances.
 //!
 //! ## Determinism
@@ -90,6 +92,15 @@ pub const SLOTS: usize = 1 << SLOT_BITS;
 pub const LEVELS: usize = 3;
 /// log2 of the level-0 bucket width in nanoseconds (2^20 ns ≈ 1.05 ms).
 const G0_BITS: u32 = 20;
+/// Largest buffer, in events, a wheel bucket keeps once it has drained
+/// or cascaded (4 KiB of 32-byte events). Ordinary buckets stay below
+/// it, so their buffers are reused and scheduling does not allocate in
+/// steady state. A larger buffer is freed: it was grown by a burst (a
+/// population's synchronized timers, a window of cross-shard arrivals),
+/// and keeping it would pin the burst's peak in that slot for the rest
+/// of the run — across 768 slots per queue and one queue per shard.
+/// Regrowing a freed bucket costs a few doublings per burst.
+pub const BUCKET_RETAIN: usize = 128;
 
 /// Bit shift converting a time to an absolute bucket number at `level`.
 #[inline]
@@ -135,6 +146,25 @@ impl Level {
         self.buckets[i].push(ev);
         self.occupied[i / 64] |= 1u64 << (i % 64);
         self.events += 1;
+    }
+
+    /// Empties slot `i`, handing back its events and clearing its
+    /// occupancy; the slot holds an unallocated `Vec` until
+    /// [`Self::recycle`] returns a buffer.
+    fn take(&mut self, i: usize) -> Vec<Event> {
+        let events = std::mem::take(&mut self.buckets[i]);
+        self.clear_bit(i);
+        self.events -= events.len();
+        events
+    }
+
+    /// Returns a drained buffer to slot `i` for reuse, or frees it when
+    /// it outgrew [`BUCKET_RETAIN`].
+    fn recycle(&mut self, i: usize, buf: Vec<Event>) {
+        debug_assert!(buf.is_empty() && self.buckets[i].capacity() == 0);
+        if buf.capacity() <= BUCKET_RETAIN {
+            self.buckets[i] = buf;
+        }
     }
 
     #[inline]
@@ -294,6 +324,14 @@ impl EventQueue {
         self.len
     }
 
+    /// Buffer capacity of every wheel bucket, level by level.
+    #[cfg(test)]
+    fn bucket_capacities(&self) -> impl Iterator<Item = usize> + '_ {
+        self.levels
+            .iter()
+            .flat_map(|l| l.buckets.iter().map(Vec::capacity))
+    }
+
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -436,16 +474,13 @@ impl EventQueue {
             return;
         }
         counter_inc!(self.stats.cascades);
-        let mut events = std::mem::take(&mut self.levels[level].buckets[i]);
-        self.levels[level].clear_bit(i);
-        self.levels[level].events -= events.len();
+        let mut events = self.levels[level].take(i);
         for ev in events.drain(..) {
             debug_assert_eq!(bucket_of(ev.at, level), abs, "bucket collision");
             self.len -= 1; // push re-counts
             self.push(ev);
         }
-        // Put the emptied Vec back so its capacity is reused.
-        self.levels[level].buckets[i] = events;
+        self.levels[level].recycle(i, events);
     }
 
     /// Moves far-heap events that now fall inside the wheel horizon.
@@ -478,16 +513,14 @@ impl EventQueue {
     fn drain_level0(&mut self, b: u64) {
         counter_inc!(self.stats.bucket_drains);
         let i = (b as usize) & (SLOTS - 1);
-        let mut events = std::mem::take(&mut self.levels[0].buckets[i]);
-        self.levels[0].clear_bit(i);
-        self.levels[0].events -= events.len();
+        let mut events = self.levels[0].take(i);
         debug_assert!(
             events.iter().all(|ev| bucket_of(ev.at, 0) == b),
             "bucket collision"
         );
         self.near.append(&mut events);
         self.near.sort_unstable(); // `near` was empty: sorts the bucket
-        self.levels[0].buckets[i] = events; // keep capacity
+        self.levels[0].recycle(i, events);
         let end = bucket_end(b, 0).max(self.near_end);
         self.advance_to(end); // may cross a coarser boundary
     }
@@ -711,6 +744,58 @@ mod tests {
         assert!(s.next_event_before(39).is_none());
         assert_eq!(s.next_event_before(40).unwrap().at, 40);
         assert_eq!(s.pending(), 0);
+    }
+
+    /// A burst far beyond [`BUCKET_RETAIN`] into one level-0 bucket, and
+    /// another arriving through a level-1 cascade, drain in order and
+    /// leave no bucket holding more than the bound; an ordinary bucket
+    /// keeps its buffer for reuse.
+    #[test]
+    fn drained_buckets_keep_at_most_the_retention_bound() {
+        let burst = 10 * BUCKET_RETAIN + 7;
+        let mut q = EventQueue::new();
+        let mut seq = 0u64;
+        let mut push = |q: &mut EventQueue, at: Time| {
+            q.push(ev(at, seq));
+            seq += 1;
+        };
+        // Level-0 bucket 5 (≈ 5.2 ms): a timer burst, spread inside it.
+        let l0 = 5 << G0_BITS;
+        for k in 0..burst as u64 {
+            push(&mut q, l0 + (k * 7_919) % (1 << G0_BITS));
+        }
+        // Level-1 bucket 1 (≈ 268 ms): cascades into one level-0 bucket.
+        let l1 = 1 << shift(1);
+        for k in 0..burst as u64 {
+            push(&mut q, l1 + k % 3);
+        }
+        // A small level-0 bucket past both bursts' cascade window.
+        let small = 2 << shift(1);
+        for k in 0..4 {
+            push(&mut q, small + k);
+        }
+        let resident = q.bucket_capacities().max().unwrap_or(0);
+        assert!(resident >= burst, "burst not resident");
+
+        let l0_slot = (bucket_of(l0, 0) as usize) & (SLOTS - 1);
+        let mut last = (0, 0);
+        let mut popped = 0;
+        while let Some(e) = q.pop() {
+            assert!((e.at, e.seq) >= last, "pop order broken");
+            last = (e.at, e.seq);
+            popped += 1;
+            if e.at >= l1 {
+                // The first burst has drained; its slot let go.
+                assert_eq!(q.levels[0].buckets[l0_slot].capacity(), 0);
+            }
+        }
+        assert_eq!(popped, 2 * burst + 4);
+        let worst = q.bucket_capacities().max().unwrap_or(0);
+        assert!(worst <= BUCKET_RETAIN, "a drained bucket kept {worst}");
+        // The small bucket's buffer was kept, so re-filling its slot
+        // does not allocate.
+        let slot = (bucket_of(small, 0) as usize) & (SLOTS - 1);
+        assert!(q.levels[0].buckets[slot].capacity() >= 4);
     }
 
     #[test]

@@ -71,7 +71,7 @@
 //! run is byte-identical for any worker count or schedule.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use iq_obs::{counter_add, counter_inc, Phase};
 
@@ -1072,19 +1072,15 @@ impl ShardedSim {
         deadline
             .checked_add(1)
             .expect("deadline too close to Time::MAX");
-        // Pool sizing: never more workers than shards, and — unless a
-        // perturbation seed asks for adversarial oversubscription —
-        // never more workers than the host has cores. `--shards 8` on a
-        // 1-core box must cost nothing over `--shards 1`: the surplus
-        // workers would only time-slice the same core and evict each
-        // other's shard working sets. The schedule never affects
-        // results, so the cap is invisible outside wall-clock time.
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        let threads = self.threads.clamp(1, self.shards.len());
+        // Pool sizing: `pool_workers`' cap at the shard and core counts
+        // — `--shards 8` on a 1-core box must cost nothing over
+        // `--shards 1` — unless a perturbation seed asks for adversarial
+        // oversubscription. The schedule never affects results, so the
+        // cap is invisible outside wall-clock time.
         let threads = if self.perturb.is_some() {
-            threads
+            self.threads.clamp(1, self.shards.len())
         } else {
-            threads.min(cores)
+            pool_workers(self.threads, self.shards.len())
         };
         let slice = slice.max(1);
         for (i, slot) in self.shards.iter_mut().enumerate() {
@@ -1093,6 +1089,14 @@ impl ShardedSim {
             // lookahead-limited time before the first window is
             // attributed, not lost.
             slot.sim.profiler().enter(Phase::Idle);
+        }
+        // Every shard mirrors the same topology, so one routing table
+        // serves them all: compute it once (only if the topology changed)
+        // and share it, instead of one full N×N copy per shard.
+        let (first, rest) = self.shards.split_first_mut().expect("checked above");
+        let routes = first.sim.ensure_routes();
+        for slot in rest {
+            slot.sim.share_routes(Arc::clone(routes));
         }
         // Move the shards into lockable slots for the pool's lifetime;
         // they are restored (in index order) before returning, so every
@@ -1155,6 +1159,16 @@ impl ShardedSim {
         let deadline = self.now.saturating_add(delta);
         self.run_until(deadline)
     }
+}
+
+/// How many worker threads a shard pool runs when `requested` are asked
+/// for over `shards` shards: never more than the shards, and — because
+/// surplus workers on a saturated host only time-slice the same cores
+/// and evict each other's shard working sets — never more than the
+/// host's cores.
+pub fn pool_workers(requested: usize, shards: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    requested.clamp(1, shards.max(1)).min(cores)
 }
 
 /// Per-shard RNG/id-space salt: splitmix64-style odd-constant mix so
@@ -1266,6 +1280,65 @@ mod tests {
             );
             assert_eq!(got.1.events_processed, base.1.events_processed);
         }
+    }
+
+    /// Every shard answers `next_hop` exactly as a serial table over the
+    /// same links does, from one shared table; a link added after a run
+    /// reroutes at the next run.
+    #[test]
+    fn shards_share_one_routing_table() {
+        fn check(sim: &ShardedSim, links: &[(NodeId, NodeId)]) {
+            let n = sim.owner.len();
+            let serial = crate::routing::RoutingTable::compute(n, links);
+            let shared = sim.shards[0].sim.routes();
+            for slot in &sim.shards {
+                assert!(Arc::ptr_eq(slot.sim.routes(), shared), "unshared table");
+            }
+            for from in 0..n as u32 {
+                for dst in 0..n as u32 {
+                    let (from, dst) = (NodeId(from), NodeId(dst));
+                    assert_eq!(shared.next_hop(from, dst), serial.next_hop(from, dst));
+                }
+            }
+        }
+
+        // A chain across three shards, c - a | r | b: hosts on shards 0
+        // and 2 reach each other through a router on shard 1, and shard
+        // 0 also has a local hop.
+        let mut sim = ShardedSim::new(5);
+        let (s0, s1, s2) = (sim.add_shard(), sim.add_shard(), sim.add_shard());
+        sim.set_threads(3);
+        let a = sim.add_node(s0);
+        let c = sim.add_node(s0);
+        let r = sim.add_node(s1);
+        let b = sim.add_node(s2);
+        let spec = LinkSpec::new(10e6, millis(2), 64_000);
+        let mut links = Vec::new();
+        for (x, y) in [(a, c), (a, r), (r, b)] {
+            sim.add_duplex_link(x, y, spec.clone());
+            links.extend([(x, y), (y, x)]);
+        }
+        let pinger = Pinger {
+            dst: Addr::new(b, 2),
+            count: 5,
+            sent: 0,
+            echoes: Vec::new(),
+        };
+        let ping = sim.add_agent(c, 1, Box::new(pinger));
+        sim.add_agent(b, 2, Box::new(Echoer::default()));
+        sim.run_until(secs(1.0));
+        check(&sim, &links);
+        let via_router = sim.shards[0].sim.routes().next_hop(a, b);
+        assert_eq!(via_router, Some(LinkId(2)), "a reaches b over a->r");
+        assert_eq!(sim.agent::<Pinger>(ping).unwrap().echoes.len(), 5);
+
+        // A direct a->b shortcut added after the run takes over at the
+        // next run, in every shard.
+        let shortcut = sim.add_link(a, b, spec);
+        links.push((a, b));
+        sim.run_until(secs(2.0));
+        check(&sim, &links);
+        assert_eq!(sim.shards[0].sim.routes().next_hop(a, b), Some(shortcut));
     }
 
     #[test]

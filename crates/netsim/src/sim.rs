@@ -17,6 +17,8 @@
 //!   at send time and carried with the packet, instead of a
 //!   `HashMap<Addr, AgentId>` probe on every hop.
 
+use std::sync::Arc;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -64,7 +66,9 @@ pub struct SimCore {
     packets: PacketSlab,
     pub(crate) links: Vec<LinkState>,
     num_nodes: u32,
-    routes: RoutingTable,
+    /// Next-hop table over the full topology. Shared: the shards of a
+    /// [`crate::ShardedSim`] mirror one topology, so they hold one table.
+    routes: Arc<RoutingTable>,
     routes_dirty: bool,
     /// Per-node port tables, sorted by port for binary search. Indexed by
     /// `NodeId`; replaces the old global `HashMap<Addr, AgentId>`.
@@ -303,7 +307,7 @@ impl Simulator {
                 packets: PacketSlab::default(),
                 links: Vec::new(),
                 num_nodes: 0,
-                routes: RoutingTable::default(),
+                routes: Arc::default(),
                 routes_dirty: false,
                 ports: Vec::new(),
                 rng: SmallRng::seed_from_u64(seed),
@@ -601,12 +605,16 @@ impl Simulator {
         (boxed.as_mut() as &mut dyn std::any::Any).downcast_mut::<T>()
     }
 
-    fn ensure_routes(&mut self) {
+    /// Recomputes the routing table if the topology changed since the
+    /// last computation, and returns it.
+    pub(crate) fn ensure_routes(&mut self) -> &Arc<RoutingTable> {
         if self.core.routes_dirty {
             let endpoints: Vec<_> = self.core.links.iter().map(|l| (l.from, l.to)).collect();
-            self.core.routes = RoutingTable::compute(self.core.num_nodes as usize, &endpoints);
+            let table = RoutingTable::compute(self.core.num_nodes as usize, &endpoints);
+            self.core.routes = Arc::new(table);
             self.core.routes_dirty = false;
         }
+        &self.core.routes
     }
 
     fn dispatch(&mut self, agent: AgentId, f: impl FnOnce(&mut dyn Agent, &mut Ctx<'_>)) {
@@ -706,6 +714,21 @@ impl Simulator {
     }
 
     // ---- shard-engine hooks (see `crate::shard`) -----------------------
+
+    /// Installs a routing table computed over an identical topology (a
+    /// sibling shard's mirror), so the shards share one table instead of
+    /// each computing its own.
+    pub(crate) fn share_routes(&mut self, routes: Arc<RoutingTable>) {
+        self.core.routes = routes;
+        self.core.routes_dirty = false;
+    }
+
+    /// The routing table currently in use (recomputed at the next run
+    /// if the topology changed since).
+    #[cfg(test)]
+    pub(crate) fn routes(&self) -> &Arc<RoutingTable> {
+        &self.core.routes
+    }
 
     /// Marks `link` as crossing out of this shard: its arrivals go to
     /// the outbox instead of the local event queue.

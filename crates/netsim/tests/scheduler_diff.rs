@@ -4,12 +4,14 @@
 //! The simulator's determinism guarantee rests on [`EventQueue`] popping
 //! in exactly ascending `(time, seq)` order — the order the old heap
 //! produced. This drives both structures with identical randomized op
-//! streams (pushes at near/mid/far offsets, interleaved pops) and
-//! requires bit-identical pop sequences, including the final drain.
+//! streams (pushes at near/mid/far offsets, timer bursts, interleaved
+//! pops) and requires bit-identical pop sequences, including the final
+//! drain.
 
 use std::collections::BinaryHeap;
 
 use iq_netsim::event::{Event, EventKind};
+use iq_netsim::sched::BUCKET_RETAIN;
 use iq_netsim::{AgentId, EventQueue, EventSource, ShardEventSource};
 use proptest::{prop, prop_assert_eq, proptest, ProptestConfig};
 
@@ -23,10 +25,11 @@ fn ev(at: u64, seq: u64) -> Event {
 
 /// Conformance harness shared by every [`EventSource`] implementation:
 /// drives the source and a model `BinaryHeap` with one randomized op
-/// stream (pushes at near/mid/far offsets, pops, deadline-bounded pops)
-/// and requires bit-identical behavior, including the final drain. New
-/// source implementations get differentially pinned to the old heap
-/// order just by adding one `proptest!` wrapper below.
+/// stream (pushes at near/mid/far offsets, pops, deadline-bounded pops,
+/// and — op 6 — timer bursts) and requires bit-identical behavior,
+/// including the final drain. New source implementations get
+/// differentially pinned to the old heap order just by adding one
+/// `proptest!` wrapper below.
 fn source_matches_model<S: EventSource>(src: &mut S, ops: &[(u32, u64)]) {
     let mut model: BinaryHeap<Event> = BinaryHeap::new();
     let mut seq = 0u64;
@@ -54,6 +57,25 @@ fn source_matches_model<S: EventSource>(src: &mut S, ops: &[(u32, u64)]) {
                 assert_eq!(got, want);
                 if let Some((at, _)) = want {
                     now = at;
+                }
+            }
+            // A timer burst: at least 10× the wheel's bucket retention
+            // bound on a few timestamps 1 µs apart, within a level-0
+            // bucket or (odd `raw`) through a level-1 cascade. Draining
+            // it frees the bucket's buffer, so a later burst regrows it.
+            6 => {
+                let dt = if raw % 2 == 0 {
+                    raw % 1_000_000
+                } else {
+                    raw % 2_000_000_000
+                };
+                let base = now.saturating_add(dt);
+                let n = 10 * BUCKET_RETAIN as u64 + raw % 64;
+                for k in 0..n {
+                    let at = base.saturating_add((k * 7) % 5 * 1_000);
+                    src.push_event(ev(at, seq));
+                    model.push(ev(at, seq));
+                    seq += 1;
                 }
             }
             // Push at a near / mid / far offset from the clock.
@@ -161,6 +183,16 @@ proptest! {
     fn event_queue_conforms_to_the_source_contract(
         ops in prop::collection::vec((0u32..6, proptest::any::<u64>()), 1..400),
     ) {
+        source_matches_model(&mut EventQueue::new(), &ops);
+    }
+
+    #[test]
+    fn bursts_pop_in_the_old_heap_order_across_bucket_regrowth(
+        ops in prop::collection::vec((0u32..7, proptest::any::<u64>()), 1..120),
+    ) {
+        // Bursts drain through buckets that free and regrow their
+        // buffers; pops between bursts keep the clock moving so later
+        // bursts land in slots earlier ones vacated.
         source_matches_model(&mut EventQueue::new(), &ops);
     }
 

@@ -267,8 +267,6 @@ pub struct BulkSenderAgent {
     /// incast workload uses this to exercise abandonment paths.
     unmark_every: u64,
     offered: u64,
-    /// Network-condition history, one entry per measuring period.
-    pub period_log: Vec<crate::meter::NetCond>,
     events_scratch: Vec<ConnEvent>,
 }
 
@@ -288,7 +286,6 @@ impl BulkSenderAgent {
             backlog_target: 128,
             unmark_every: 0,
             offered: 0,
-            period_log: Vec::new(),
             events_scratch: Vec::new(),
         }
     }
@@ -325,12 +322,10 @@ impl BulkSenderAgent {
     }
 
     fn after_io(&mut self, ctx: &mut Ctx<'_>) {
+        // Nothing here reacts to connection events; drain them so the
+        // connection's queue stays bounded.
         self.driver.conn.take_events_into(&mut self.events_scratch);
-        for ev in self.events_scratch.drain(..) {
-            if let ConnEvent::PeriodEnded(c) = ev {
-                self.period_log.push(c);
-            }
-        }
+        self.events_scratch.clear();
         self.refill(ctx.now());
         self.driver.pump(ctx);
     }

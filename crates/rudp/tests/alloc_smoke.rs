@@ -1,36 +1,59 @@
-//! Zero-allocation smoke test for the steady-state ACK path.
+//! Allocation smoke tests.
 //!
-//! A counting global allocator wraps `System`; after a warm-up phase
-//! that sizes every ring, queue, and scratch buffer, a sustained
-//! data → ACK → drain cycle between a [`SenderConn`] and a
-//! [`ReceiverConn`] must perform **zero** heap allocations. This pins
-//! the PR's zero-alloc claims: inline SACK storage in `AckSeg`,
-//! ring-buffer transport state, and the swap-style `take_*_into` /
-//! `clear_events` drain APIs.
+//! A counting global allocator wraps `System` and tracks, per thread,
+//! allocation calls and live heap bytes — per thread so that libtest's
+//! other test threads cannot disturb a measurement.
+//!
+//! * After a warm-up phase that sizes every ring, queue, and scratch
+//!   buffer, a sustained data → ACK → drain cycle between a
+//!   [`SenderConn`] and a [`ReceiverConn`] must perform **zero** heap
+//!   allocations. This pins the zero-alloc claims: inline SACK storage
+//!   in `AckSeg`, ring-buffer transport state, and the swap-style
+//!   `take_*_into` / `clear_events` drain APIs.
+//! * A [`BulkSenderAgent`] → [`RudpSinkAgent`] pair whose transfer is
+//!   over must hold a constant live heap while its measuring-period
+//!   timer keeps rolling: nothing may keep per-period history.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use iq_rudp::{CcAlgorithm, ReceiverConn, RudpConfig, Segment, SenderConn};
+use iq_netsim::{time, Addr, Agent, Ctx, FlowId, LinkSpec, Packet, Simulator};
+use iq_rudp::{
+    BulkSenderAgent, CcAlgorithm, ReceiverConn, RudpConfig, RudpSinkAgent, Segment, SenderConn,
+    SenderState,
+};
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`) on this thread.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation call that changed the thread's live heap by
+/// `live_delta` bytes (0 calls for a free).
+fn note(calls: u64, live_delta: i64) {
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + calls));
+    let _ = LIVE_BYTES.try_with(|l| l.set(l.get() + live_delta));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        note(1, layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        note(1, layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        note(1, new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(0, -(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -86,18 +109,17 @@ fn measure(algorithm: CcAlgorithm) -> u64 {
         cycle(&mut now, &mut s, &mut r, &mut msgs);
     }
 
-    // The counter is process-global, so a libtest harness thread that
-    // happens to allocate mid-measurement (its slow-test machinery, on
-    // a loaded machine) can taint an attempt. A real regression in the
-    // cycle allocates on every attempt, so requiring one clean attempt
-    // out of three keeps the gate sound while shedding harness noise.
+    // State can still grow once after the warm-up: under BBR one
+    // allocation lands in each of the first two attempts. An allocation
+    // on the data/ACK cycle itself would show in every attempt, so
+    // requiring one clean attempt out of three keeps the gate sound.
     let mut delta = u64::MAX;
     for _ in 0..3 {
-        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        let before = ALLOC_CALLS.with(Cell::get);
         for _ in 0..200 {
             cycle(&mut now, &mut s, &mut r, &mut msgs);
         }
-        delta = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+        delta = ALLOC_CALLS.with(Cell::get) - before;
         if delta == 0 {
             break;
         }
@@ -120,4 +142,64 @@ fn steady_state_ack_path_does_not_allocate() {
             "steady-state data/ACK cycles performed {delta} heap allocations under {name}"
         );
     }
+}
+
+/// Pre-sizes the simulator's own structures: a timer every 100 µs over
+/// the first 300 ms — more than one revolution of the timer wheel's
+/// finest level — leaves a buffer in every wheel bucket and free slots
+/// in the timer slab. After it, only agent state can grow the heap.
+struct SchedulerWarmup;
+
+impl Agent for SchedulerWarmup {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        for k in 0..3_000 {
+            ctx.set_timer(k * 100 * time::MICROSECOND, 0);
+        }
+    }
+    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _pkt: Packet) {}
+}
+
+#[test]
+fn finished_bulk_pair_keeps_no_per_period_history() {
+    let mut sim = Simulator::new(11);
+    let a = sim.add_node();
+    let b = sim.add_node();
+    sim.add_link(a, b, LinkSpec::new(10e6, time::millis(5), 64_000));
+    // The return path's 50-byte queue passes the 44-byte handshake
+    // segments but no ACK (60 bytes and up): the sink receives the whole
+    // transfer, while the sender, never hearing an ACK, stays
+    // established — it retransmits on RTO backoff and its 100 ms
+    // measuring period keeps rolling.
+    sim.add_link(b, a, LinkSpec::new(10e6, time::millis(5), 50));
+    let cfg = RudpConfig::default();
+    let conn = SenderConn::new(1, cfg.clone());
+    let sender = BulkSenderAgent::new(conn, Addr::new(b, 1), FlowId(1), 2, 1000);
+    let tx = sim.add_agent(a, 1, Box::new(sender));
+    let rx = sim.add_agent(b, 1, Box::new(RudpSinkAgent::new(1, cfg, FlowId(1))));
+    sim.add_agent(a, 2, Box::new(SchedulerWarmup));
+
+    sim.run_until(time::secs(1.0));
+    assert_eq!(sim.agent::<BulkSenderAgent>(tx).unwrap().offered_msgs(), 2);
+    let sink = sim.agent::<RudpSinkAgent>(rx).unwrap();
+    assert_eq!(sink.metrics.messages(), 2);
+
+    let mut sample = |until: f64| {
+        sim.run_until(time::secs(until));
+        (LIVE_BYTES.with(Cell::get), sim.counters().timers_fired)
+    };
+    let (live_10, fired_10) = sample(11.0);
+    let (live_60, fired_60) = sample(61.0);
+    let sender = sim.agent::<BulkSenderAgent>(tx).unwrap();
+    assert_eq!(sender.conn().state(), SenderState::Established);
+    assert!(
+        fired_60 - fired_10 >= 490,
+        "the measuring period stopped rolling ({} timer firings in 50 s)",
+        fired_60 - fired_10
+    );
+    assert_eq!(
+        live_60,
+        live_10,
+        "the finished pair's heap grew by {} bytes over 500 measuring periods",
+        live_60 - live_10
+    );
 }
