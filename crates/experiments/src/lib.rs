@@ -4,7 +4,7 @@
 //! evaluation (§3). Each module builds its scenario(s) on the shared
 //! [`scenario`] runner and renders rows shaped like the paper's tables.
 //!
-//! * [`tables`] — Tables 1–8 (`run_table1` … `run_table8`).
+//! * [`tables`] — Tables 1–9 (`run_table1` … `run_table9`).
 //! * [`figures`] — Figures 1–4.
 //! * [`runner`] — parallel execution and row rendering.
 //! * [`benchmode`] — the `iqrudp bench` simulator-throughput sweep.

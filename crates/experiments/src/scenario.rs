@@ -1,21 +1,37 @@
-//! Generic experiment scenarios: one adaptive application flow over the
-//! paper's dumbbell, with configurable cross traffic and transport
-//! scheme. Every table module builds on this runner.
+//! Experiment scenarios over the paper's dumbbell. A [`Scenario`] takes
+//! one of four shapes, picked by [`run_scenario`]:
+//!
+//! * **RUDP** (the default): one adaptive application flow plus cross
+//!   traffic. Every table builds on it.
+//! * **TCP** (`scheme == Scheme::Tcp`): the same dumbbell with a TCP Reno
+//!   bulk flow as the application flow.
+//! * **Incast** (`incast_flows > 0`): a fleet of RUDP flows of four
+//!   sender classes sharing one serial dumbbell.
+//! * **Mega** (`mega_legs > 0`): the same fleet spread over many dumbbell
+//!   legs of one sharded simulation.
+//!
+//! Each runner builds only its own topology and agents. The serial
+//! set-up, the fleet of the two many-flow shapes, the telemetry capture
+//! and the serial run loop are shared.
+
+use std::sync::{Arc, Mutex};
 
 use iq_core::{CoordinationLog, CoordinationMode};
 use iq_echo::{
     AdaptiveSourceAgent, DeferredResolution, EchoSinkAgent, MarkingAdapter, Policy,
     ResolutionAdapter, SourceConfig,
 };
-use iq_metrics::TimeSeries;
+use iq_metrics::{FlowMetrics, TimeSeries};
 use iq_netsim::{
-    build_dumbbell, time, Addr, AgentId, Dumbbell, DumbbellSpec, FlowId, LinkSpec, ShardedSim,
-    Simulator,
+    build_dumbbell, time, Addr, Agent, AgentId, Dumbbell, DumbbellSpec, FlowId, LinkSpec, NodeId,
+    PoolStats, ShardAgentId, ShardedSim, Simulator,
 };
 use iq_obs::{Phase, Plane, Registry};
-use iq_rudp::{BbrParams, CcAlgorithm, CubicParams, RrrParams, RudpConfig};
+use iq_rudp::{
+    BbrParams, BulkSenderAgent, CcAlgorithm, ConnBuilder, CubicParams, RrrParams, RudpConfig,
+};
 use iq_tcp::{TcpBulkSenderAgent, TcpConfig, TcpSenderConn, TcpSinkAgent};
-use iq_telemetry::{to_jsonl, TelemetrySink};
+use iq_telemetry::{to_jsonl, TelemetryBus, TelemetrySink};
 use iq_trace::{MembershipConfig, MembershipTrace};
 use iq_workload::{CbrSource, VbrSource};
 
@@ -141,7 +157,23 @@ pub struct CrossTraffic {
     pub tcp_bulk: bool,
 }
 
-/// A complete single-flow experiment.
+/// A complete experiment in one of the four shapes of the module docs.
+///
+/// Which fields each shape honours:
+///
+/// * **RUDP**: every field except the fleet sizes.
+/// * **TCP**: `seed`, `dumbbell`, `frame_sizes` (total volume and mean
+///   message size), `red_bottleneck`, `cross` and `deadline_s`.
+/// * **Incast**: what RUDP honours except `policy` (always §3.3
+///   marking), `fps` and `datagram_mode` (senders are greedy); `scheme`
+///   only for the fixed window of [`Scheme::AppAdaptOnly`]. Flows spread
+///   over `dumbbell.pairs` host pairs.
+/// * **Mega**: like incast, but `cc` drives only the adaptive class (the
+///   other three classes run CUBIC, BBR and RRR), each leg takes only the
+///   dumbbell's rates, delay and queue, and `cross` and `red_bottleneck`
+///   must stay unset.
+///
+/// [`run_scenario`] rejects a scenario its shape cannot honour.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Simulation seed.
@@ -187,7 +219,12 @@ pub struct Scenario {
     /// experiment: this many RUDP flows (a deterministic mix of marked,
     /// partially unmarked, coordinated-adaptive and sparse-ACK senders)
     /// share the bottleneck. `frame_sizes.len()` messages of
-    /// `frame_sizes[0]` bytes are offered per flow.
+    /// `frame_sizes[0]` bytes are offered per flow. At most 64 535: each
+    /// flow takes its own port on its host.
+    ///
+    /// A mega run ([`Self::mega_legs`] non-zero) reuses this field as
+    /// the flows *per leg*, which must be at least 1; a leg spreads them
+    /// over up to 32 host pairs, at most 64 535 per host.
     pub incast_flows: u32,
     /// When non-zero, run the sharded `mega_flows` population instead:
     /// this many independent dumbbell legs, each one left-side and one
@@ -392,7 +429,16 @@ fn add_cross_traffic(sim: &mut Simulator, db: &Dumbbell, cross: &CrossTraffic, d
 }
 
 /// Runs one scenario to completion (or its deadline) and reports.
+///
+/// # Panics
+///
+/// Before anything is built, with a message naming the field, when the
+/// scenario asks for something its builder cannot honour: a fleet with
+/// more flows per host than there are ports, a mega run with no flows
+/// per leg or with cross traffic or RED, or a dumbbell with too few host
+/// pairs for the cross traffic.
 pub fn run_scenario(sc: &Scenario) -> RunResult {
+    validate(sc);
     if sc.mega_legs > 0 {
         return run_mega(sc);
     }
@@ -403,6 +449,54 @@ pub fn run_scenario(sc: &Scenario) -> RunResult {
         Scheme::Tcp => run_tcp(sc),
         _ => run_rudp(sc),
     }
+}
+
+/// The most flows one host carries: a fleet's flows take ports
+/// `1000..=65534`, one each.
+const MAX_FLOWS_PER_HOST: u32 = 64_535;
+
+fn validate(sc: &Scenario) {
+    let flows = sc.incast_flows;
+    if sc.mega_legs > 0 {
+        assert!(
+            flows > 0,
+            "Scenario::incast_flows (flows per leg) must be at least 1 for a mega run"
+        );
+        let per_host = flows.div_ceil(flows.min(32));
+        assert!(
+            per_host <= MAX_FLOWS_PER_HOST,
+            "Scenario::incast_flows = {flows} puts {per_host} flows on each host of a leg, \
+             more than the {MAX_FLOWS_PER_HOST} ports a host has"
+        );
+        let cross = &sc.cross;
+        assert!(
+            cross.cbr_bps.is_none() && cross.vbr.is_none() && !cross.tcp_bulk,
+            "Scenario::cross: a mega run carries no cross traffic"
+        );
+        assert!(
+            !sc.red_bottleneck,
+            "Scenario::red_bottleneck: a mega run's bottlenecks are drop-tail"
+        );
+        return;
+    }
+    assert!(
+        flows <= MAX_FLOWS_PER_HOST,
+        "Scenario::incast_flows = {flows} exceeds {MAX_FLOWS_PER_HOST}, the ports a host has"
+    );
+    // Pair 0 carries the application flow, pair 1 CBR, pair 2 VBR or the
+    // TCP bulk flow (see `add_cross_traffic`).
+    let pairs = if sc.cross.vbr.is_some() || sc.cross.tcp_bulk {
+        3
+    } else if sc.cross.cbr_bps.is_some() {
+        2
+    } else {
+        1
+    };
+    assert!(
+        sc.dumbbell.pairs >= pairs,
+        "Scenario::dumbbell.pairs = {} but the cross traffic needs {pairs} host pairs",
+        sc.dumbbell.pairs
+    );
 }
 
 fn rudp_config(sc: &Scenario) -> RudpConfig {
@@ -427,19 +521,100 @@ fn rudp_config(sc: &Scenario) -> RudpConfig {
     cfg
 }
 
-fn run_rudp(sc: &Scenario) -> RunResult {
-    let pool_before = iq_netsim::pool_stats();
-    let (tsink, bus) = if crate::runner::telemetry_enabled() {
-        let (s, b) = TelemetrySink::new_bus(crate::runner::telemetry_ring());
-        (s, Some(b))
-    } else {
-        (TelemetrySink::disabled(), None)
-    };
+/// The telemetry buses one run captures into: none when capture is off
+/// (and for TCP runs, which take no sink), one for a serial run, one per
+/// shard for a mega run.
+#[derive(Default)]
+struct Capture(Vec<Arc<Mutex<TelemetryBus>>>);
+
+impl Capture {
+    /// A sink on a fresh bus, or the disabled sink when capture is off.
+    fn sink(&mut self) -> TelemetrySink {
+        if !crate::runner::telemetry_enabled() {
+            return TelemetrySink::disabled();
+        }
+        let (sink, bus) = TelemetrySink::new_bus(crate::runner::telemetry_ring());
+        self.0.push(bus);
+        sink
+    }
+
+    /// The captured JSONL, buses concatenated in creation (= shard-index)
+    /// order so the text is independent of the thread count, and the
+    /// records the rings evicted. The first bus's text is kept, not
+    /// copied: a paper-scale capture is large enough that a second copy
+    /// shows in the peak RSS.
+    fn drain(&self) -> (String, u64) {
+        let mut jsonl = String::new();
+        let mut evicted = 0;
+        for bus in &self.0 {
+            let bus = bus.lock().unwrap_or_else(|e| e.into_inner());
+            let text = to_jsonl(&bus.records());
+            if jsonl.is_empty() {
+                jsonl = text;
+            } else {
+                jsonl.push_str(&text);
+            }
+            evicted += bus.total_evicted();
+        }
+        (jsonl, evicted)
+    }
+}
+
+/// The serial runs' shared set-up: a seeded simulator carrying the
+/// scenario's dumbbell, with RED applied as asked, and its cross traffic.
+fn serial_dumbbell(sc: &Scenario) -> (Simulator, Dumbbell) {
     let mut sim = Simulator::new(sc.seed);
     let mut dspec = sc.dumbbell.clone();
     dspec.red_bottleneck = sc.red_bottleneck;
     let db = build_dumbbell(&mut sim, &dspec);
     add_cross_traffic(&mut sim, &db, &sc.cross, sc.deadline_s);
+    (sim, db)
+}
+
+/// Runs in one-second slices until `done` holds or `deadline_s` elapses
+/// (cross traffic would otherwise keep the heap busy forever), charging
+/// the whole loop to the execute phase.
+fn run_until_quiet(sim: &mut Simulator, deadline_s: f64, done: impl Fn(&Simulator) -> bool) {
+    let deadline = time::secs(deadline_s);
+    sim.profiler().enter(Phase::Execute);
+    while sim.now() < deadline {
+        sim.run_for(time::secs(1.0));
+        if done(sim) {
+            break;
+        }
+    }
+    sim.profiler().finish();
+}
+
+/// What the engine measured, as opposed to the flows: the part of a
+/// [`RunResult`] that depends on the engine, not on the runner.
+struct EngineReport {
+    events_processed: u64,
+    obs: Registry,
+    shards_used: u32,
+    phase_profile: Vec<iq_obs::PhaseSnapshot>,
+    sched: iq_netsim::SchedTotals,
+}
+
+impl EngineReport {
+    fn serial(sim: &Simulator) -> Self {
+        let mut obs = Registry::new();
+        sim.collect_obs(&mut obs, "0");
+        Self {
+            events_processed: sim.counters().events_processed,
+            obs,
+            shards_used: 1,
+            phase_profile: vec![sim.phase_snapshot()],
+            sched: iq_netsim::SchedTotals::default(),
+        }
+    }
+}
+
+fn run_rudp(sc: &Scenario) -> RunResult {
+    let pool_before = iq_netsim::pool_stats();
+    let mut capture = Capture::default();
+    let tsink = capture.sink();
+    let (mut sim, db) = serial_dumbbell(sc);
     sim.attach_telemetry(tsink.clone());
 
     let mut cfg = SourceConfig::new(1, sc.frame_sizes.clone());
@@ -462,253 +637,291 @@ fn run_rudp(sc: &Scenario) -> RunResult {
             sink_cfg.builder(1, FlowId(1)).telemetry(tsink).build_receiver(),
         )),
     );
-    sim.profiler().enter(Phase::Execute);
-    run_until_quiet(&mut sim, sc.deadline_s, rx);
-    sim.profiler().finish();
+    run_until_quiet(&mut sim, sc.deadline_s, |sim| {
+        sim.agent::<EchoSinkAgent>(rx).is_some_and(|s| s.is_finished())
+    });
 
-    let (telemetry, telemetry_evicted) = bus.map_or_else(
-        || (String::new(), 0),
-        |b| {
-            let bus = b.lock().unwrap_or_else(|e| e.into_inner());
-            (to_jsonl(&bus.records()), bus.total_evicted())
-        },
-    );
-    let events_processed = sim.counters().events_processed;
+    let (telemetry, telemetry_evicted) = capture.drain();
+    let mut engine = EngineReport::serial(&sim);
     let src = sim.agent::<AdaptiveSourceAgent>(tx).expect("source");
     let sink = sim.agent::<EchoSinkAgent>(rx).expect("sink");
-    let mut obs = Registry::new();
-    sim.collect_obs(&mut obs, "0");
     collect_run_obs(
-        &mut obs,
+        &mut engine.obs,
         Some(&src.conn().stats()),
         Some(&sink.conn().stats()),
-        iq_netsim::pool_stats().since(pool_before),
+        pool_before,
         telemetry_evicted,
     );
-    let m = &sink.metrics;
     RunResult {
-        label: sc.scheme.label(),
+        coordination: Some(src.coordination_log()),
+        callbacks: src.callbacks,
+        sender_stats: Some(src.conn().stats()),
+        ..flow_result(
+            sc.scheme.label(),
+            &sink.metrics,
+            src.offered_msgs,
+            sink.is_finished(),
+            engine,
+            (telemetry, telemetry_evicted),
+        )
+    }
+}
+
+/// A run's result as measured at `m`, the sink metrics of the flow it
+/// reports (the application flow, or flow 0 of a fleet), plus the
+/// engine's report and the captured telemetry. A runner sets what it
+/// knows beyond that flow (transport counters, fleet totals) over this.
+fn flow_result(
+    label: &'static str,
+    m: &FlowMetrics,
+    offered: u64,
+    finished: bool,
+    engine: EngineReport,
+    (telemetry, telemetry_evicted): (String, u64),
+) -> RunResult {
+    RunResult {
+        label,
         duration_s: m.duration_s(),
         throughput_kbps: m.throughput_kbps(),
         inter_arrival_s: m.inter_arrival_s(),
         jitter_s: m.jitter_s(),
         tagged_delay_ms: m.tagged_inter_arrival_s() * 1e3,
         tagged_jitter_ms: m.tagged_jitter_s() * 1e3,
-        msgs_offered: src.offered_msgs,
+        msgs_offered: offered,
         msgs_delivered: m.messages(),
-        delivered_pct: m.delivered_pct(src.offered_msgs),
+        delivered_pct: m.delivered_pct(offered),
         jitter_series: m.jitter_series().clone(),
-        finished: sink.is_finished(),
-        coordination: Some(src.coordination_log()),
-        callbacks: src.callbacks,
-        sender_stats: Some(src.conn().stats()),
-        events_processed,
+        finished,
+        coordination: None,
+        callbacks: (0, 0),
+        sender_stats: None,
+        events_processed: engine.events_processed,
         telemetry,
-        shards_used: 1,
-        phase_profile: vec![sim.phase_snapshot()],
-        sched: iq_netsim::SchedTotals::default(),
-        obs,
+        shards_used: engine.shards_used,
+        phase_profile: engine.phase_profile,
+        sched: engine.sched,
+        obs: engine.obs,
         telemetry_evicted,
     }
 }
 
-/// Runs the many-flow incast selected by [`Scenario::incast_flows`].
+/// Agent insertion and post-run lookup, shared by the serial and
+/// sharded engines so one [`Fleet`] builds and reads flows on either.
+trait AgentHost {
+    type Id: Copy;
+    fn put(&mut self, node: NodeId, port: u16, agent: Box<dyn Agent>) -> Self::Id;
+    fn get<T: Agent>(&self, id: Self::Id) -> Option<&T>;
+}
+
+impl AgentHost for Simulator {
+    type Id = AgentId;
+    fn put(&mut self, node: NodeId, port: u16, agent: Box<dyn Agent>) -> AgentId {
+        self.add_agent(node, port, agent)
+    }
+    fn get<T: Agent>(&self, id: AgentId) -> Option<&T> {
+        self.agent(id)
+    }
+}
+
+impl AgentHost for ShardedSim {
+    type Id = ShardAgentId;
+    fn put(&mut self, node: NodeId, port: u16, agent: Box<dyn Agent>) -> ShardAgentId {
+        self.add_agent(node, port, agent)
+    }
+    fn get<T: Agent>(&self, id: ShardAgentId) -> Option<&T> {
+        self.agent(id)
+    }
+}
+
+/// The many-flow sender mix of the incast and mega runs.
 ///
-/// Flows cycle deterministically through four sender classes by
-/// `flow % 4`: `0` fully marked reliable bulk, `1` a coordinated
-/// adaptive source running the §3.3 marking policy, `2` bulk with every
-/// 4th message unmarked against a loss-tolerant receiver and
-/// `discard_unmarked` coordination, `3` fully marked bulk with 4:1 ACK
-/// decimation. Flows spread round-robin over the dumbbell's host pairs;
-/// each class shares one `RudpConfig` allocation across all its flows
-/// (see [`iq_rudp::ConnBuilder::for_conn`]).
-fn run_incast(sc: &Scenario) -> RunResult {
-    let pool_before = iq_netsim::pool_stats();
-    let (tsink, bus) = if crate::runner::telemetry_enabled() {
-        let (s, b) = TelemetrySink::new_bus(crate::runner::telemetry_ring());
-        (s, Some(b))
-    } else {
-        (TelemetrySink::disabled(), None)
-    };
-    let mut sim = Simulator::new(sc.seed);
-    let mut dspec = sc.dumbbell.clone();
-    dspec.red_bottleneck = sc.red_bottleneck;
-    let db = build_dumbbell(&mut sim, &dspec);
-    add_cross_traffic(&mut sim, &db, &sc.cross, sc.deadline_s);
-    sim.attach_telemetry(tsink);
+/// Flow `i` takes sender class `i % 4`: `0` fully marked reliable bulk,
+/// `1` a coordinated adaptive source running the §3.3 marking policy,
+/// `2` bulk with every 4th message unmarked against a loss-tolerant
+/// receiver and `discard_unmarked` coordination, `3` fully marked bulk
+/// with 4:1 ACK decimation. Each class shares one `RudpConfig`
+/// allocation across all its flows (see
+/// [`iq_rudp::ConnBuilder::for_conn`]).
+struct Fleet<'a, Id> {
+    sc: &'a Scenario,
+    /// The scenario's transport config; the adaptive sources use it.
+    base: RudpConfig,
+    classes: [ConnBuilder; 4],
+    bulk_txs: Vec<Id>,
+    adaptive_txs: Vec<Id>,
+    rxs: Vec<Id>,
+}
 
-    let msgs_per_flow = sc.frame_sizes.len() as u64;
-    let msg_size = sc.frame_sizes.first().copied().unwrap_or(1400);
-    let pairs = db.left_hosts.len();
+impl<'a, Id: Copy> Fleet<'a, Id> {
+    /// Builds the class configs; each `(class, cc)` in `cc` replaces that
+    /// class's congestion controller.
+    fn new(sc: &'a Scenario, cc: &[(usize, CcAlgorithm)]) -> Self {
+        let base = rudp_config(sc);
+        let mut configs = [
+            RudpConfig {
+                loss_tolerance: 0.0,
+                ..base.clone()
+            },
+            base.clone(),
+            RudpConfig {
+                discard_unmarked: true,
+                ..base.clone()
+            },
+            RudpConfig {
+                loss_tolerance: 0.0,
+                ack_every: 4,
+                ..base.clone()
+            },
+        ];
+        for (class, algorithm) in cc {
+            configs[*class].cc.algorithm = algorithm.clone();
+        }
+        Self {
+            sc,
+            base,
+            classes: configs.map(|cfg| cfg.builder(0, FlowId(0))),
+            bulk_txs: Vec::new(),
+            adaptive_txs: Vec::new(),
+            rxs: Vec::new(),
+        }
+    }
 
-    // One config (and builder) per sender class: flows of a class share
-    // the `Arc<RudpConfig>` instead of cloning the config per flow.
-    let base = rudp_config(sc);
-    let marked = RudpConfig {
-        loss_tolerance: 0.0,
-        ..base.clone()
-    }
-    .builder(0, FlowId(0));
-    let adaptive = base.clone().builder(0, FlowId(0));
-    let unmarked = RudpConfig {
-        discard_unmarked: true,
-        ..base.clone()
-    }
-    .builder(0, FlowId(0));
-    let sparse_ack = RudpConfig {
-        loss_tolerance: 0.0,
-        ack_every: 4,
-        ..base.clone()
-    }
-    .builder(0, FlowId(0));
-
-    let mut bulk_txs = Vec::new();
-    let mut adaptive_txs = Vec::new();
-    let mut rxs = Vec::new();
-    for i in 0..sc.incast_flows {
-        let pair = i as usize % pairs;
-        let port = 1000 + i as u16;
-        let conn_id = 1000 + i;
-        let flow = FlowId(1000 + i);
-        let peer = Addr::new(db.right_hosts[pair], port);
-        let class_builder = match i % 4 {
-            0 => &marked,
-            1 => &adaptive,
-            2 => &unmarked,
-            _ => &sparse_ack,
-        };
+    /// Adds flow `i` (its index across the whole fleet) from `src` to
+    /// `dst` on `port`: its sender, then its sink.
+    fn add_flow<H: AgentHost<Id = Id>>(
+        &mut self,
+        sim: &mut H,
+        i: u32,
+        src: NodeId,
+        dst: NodeId,
+        port: u16,
+    ) {
+        let sc = self.sc;
+        let (conn_id, flow, peer) = (1000 + i, FlowId(1000 + i), Addr::new(dst, port));
+        let class = &self.classes[i as usize % 4];
         if i % 4 == 1 {
             let mut cfg = SourceConfig::new(conn_id, sc.frame_sizes.clone());
-            cfg.rudp = base.clone();
+            cfg.rudp = self.base.clone();
             cfg.mode = CoordinationMode::Coordinated;
             cfg.min_adapt_gap = time::secs(sc.min_adapt_gap_s);
             cfg.min_lower_gap = time::secs(sc.min_lower_gap_s);
             cfg.seed = sc.seed ^ u64::from(i) ^ 0x5eed;
-            let src = AdaptiveSourceAgent::new(
-                cfg,
-                Policy::Marking(MarkingAdapter::default()),
-                peer,
-                flow,
-            );
-            adaptive_txs.push(sim.add_agent(db.left_hosts[pair], port, Box::new(src)));
+            let policy = Policy::Marking(MarkingAdapter::default());
+            let agent = AdaptiveSourceAgent::new(cfg, policy, peer, flow);
+            self.adaptive_txs.push(sim.put(src, port, Box::new(agent)));
         } else {
-            let unmark = if i % 4 == 2 { 4 } else { 0 };
-            let driver = class_builder.for_conn(conn_id, flow).build_sender(peer);
-            let agent = iq_rudp::BulkSenderAgent::from_driver(driver, msgs_per_flow, msg_size)
-                .unmark_every(unmark);
-            bulk_txs.push(sim.add_agent(db.left_hosts[pair], port, Box::new(agent)));
+            let msg_size = sc.frame_sizes.first().copied().unwrap_or(1400);
+            let driver = class.for_conn(conn_id, flow).build_sender(peer);
+            let agent = BulkSenderAgent::from_driver(driver, sc.frame_sizes.len() as u64, msg_size)
+                .unmark_every(if i % 4 == 2 { 4 } else { 0 });
+            self.bulk_txs.push(sim.put(src, port, Box::new(agent)));
         }
-        let sink = EchoSinkAgent::from_driver(
-            class_builder.for_conn(conn_id, flow).build_receiver(),
-        );
-        rxs.push(sim.add_agent(db.right_hosts[pair], port, Box::new(sink)));
+        let sink = EchoSinkAgent::from_driver(class.for_conn(conn_id, flow).build_receiver());
+        self.rxs.push(sim.put(dst, port, Box::new(sink)));
     }
 
-    // Run in one-second slices until every flow finished or the
-    // deadline elapses.
-    let deadline = time::secs(sc.deadline_s);
-    sim.profiler().enter(Phase::Execute);
-    while sim.now() < deadline {
-        sim.run_for(time::secs(1.0));
-        let all_done = rxs
-            .iter()
-            .all(|&rx| sim.agent::<EchoSinkAgent>(rx).is_some_and(|s| s.is_finished()));
-        if all_done {
-            break;
+    /// Aggregates the fleet into one result: sums for volume metrics, the
+    /// max for duration, flow 0's series for jitter shape.
+    fn report<H: AgentHost<Id = Id>>(
+        &self,
+        sim: &H,
+        label: &'static str,
+        mut engine: EngineReport,
+        (telemetry, telemetry_evicted): (String, u64),
+        pool_before: PoolStats,
+    ) -> RunResult {
+        let mut offered = 0u64;
+        let mut callbacks = (0u64, 0u64);
+        let mut stats = iq_rudp::SenderStats::default();
+        let mut coordination: Option<CoordinationLog> = None;
+        for &tx in &self.bulk_txs {
+            let a = sim.get::<BulkSenderAgent>(tx).expect("bulk sender");
+            offered += a.offered_msgs();
+            sum_sender_stats(&mut stats, &a.conn().stats());
         }
-    }
-    sim.profiler().finish();
-
-    let (telemetry, telemetry_evicted) = bus.map_or_else(
-        || (String::new(), 0),
-        |b| {
-            let bus = b.lock().unwrap_or_else(|e| e.into_inner());
-            (to_jsonl(&bus.records()), bus.total_evicted())
-        },
-    );
-    let events_processed = sim.counters().events_processed;
-
-    // Aggregate across the fleet: sums for volume metrics, the max for
-    // duration, flow 0's series for jitter shape.
-    let mut offered = 0u64;
-    let mut callbacks = (0u64, 0u64);
-    let mut stats = iq_rudp::SenderStats::default();
-    let mut coordination: Option<CoordinationLog> = None;
-    for &tx in &bulk_txs {
-        let a = sim.agent::<iq_rudp::BulkSenderAgent>(tx).expect("bulk sender");
-        offered += a.offered_msgs();
-        sum_sender_stats(&mut stats, &a.conn().stats());
-    }
-    for &tx in &adaptive_txs {
-        let a = sim.agent::<AdaptiveSourceAgent>(tx).expect("adaptive source");
-        offered += a.offered_msgs;
-        callbacks.0 += a.callbacks.0;
-        callbacks.1 += a.callbacks.1;
-        sum_sender_stats(&mut stats, &a.conn().stats());
-        let log = a.coordination_log();
-        match &mut coordination {
-            None => coordination = Some(log),
-            Some(agg) => {
-                agg.window_rescales += log.window_rescales;
-                agg.cond_corrections += log.cond_corrections;
-                agg.reliability_reports += log.reliability_reports;
-                agg.deferred_announcements += log.deferred_announcements;
-                agg.frequency_reports += log.frequency_reports;
-                agg.cumulative_factor *= log.cumulative_factor;
+        for &tx in &self.adaptive_txs {
+            let a = sim.get::<AdaptiveSourceAgent>(tx).expect("adaptive source");
+            offered += a.offered_msgs;
+            callbacks.0 += a.callbacks.0;
+            callbacks.1 += a.callbacks.1;
+            sum_sender_stats(&mut stats, &a.conn().stats());
+            let log = a.coordination_log();
+            match &mut coordination {
+                None => coordination = Some(log),
+                Some(agg) => {
+                    agg.window_rescales += log.window_rescales;
+                    agg.cond_corrections += log.cond_corrections;
+                    agg.reliability_reports += log.reliability_reports;
+                    agg.deferred_announcements += log.deferred_announcements;
+                    agg.frequency_reports += log.frequency_reports;
+                    agg.cumulative_factor *= log.cumulative_factor;
+                }
             }
         }
+        let mut delivered = 0u64;
+        let mut throughput = 0.0f64;
+        let mut duration = 0.0f64;
+        let mut finished = true;
+        let mut rstats = iq_rudp::ReceiverStats::default();
+        for &rx in &self.rxs {
+            let s = sim.get::<EchoSinkAgent>(rx).expect("sink");
+            delivered += s.metrics.messages();
+            throughput += s.metrics.throughput_kbps();
+            duration = duration.max(s.metrics.duration_s());
+            finished &= s.is_finished();
+            sum_receiver_stats(&mut rstats, &s.conn().stats());
+        }
+        collect_run_obs(
+            &mut engine.obs,
+            Some(&stats),
+            Some(&rstats),
+            pool_before,
+            telemetry_evicted,
+        );
+        let first = &sim.get::<EchoSinkAgent>(self.rxs[0]).expect("sink 0").metrics;
+        RunResult {
+            duration_s: duration,
+            throughput_kbps: throughput,
+            msgs_delivered: delivered,
+            delivered_pct: if offered > 0 {
+                100.0 * delivered as f64 / offered as f64
+            } else {
+                0.0
+            },
+            coordination,
+            callbacks,
+            sender_stats: Some(stats),
+            ..flow_result(label, first, offered, finished, engine, (telemetry, telemetry_evicted))
+        }
     }
-    let mut delivered = 0u64;
-    let mut throughput = 0.0f64;
-    let mut duration = 0.0f64;
-    let mut finished = true;
-    let mut rstats = iq_rudp::ReceiverStats::default();
-    for &rx in &rxs {
-        let s = sim.agent::<EchoSinkAgent>(rx).expect("sink");
-        delivered += s.metrics.messages();
-        throughput += s.metrics.throughput_kbps();
-        duration = duration.max(s.metrics.duration_s());
-        finished &= s.is_finished();
-        sum_receiver_stats(&mut rstats, &s.conn().stats());
+}
+
+/// Runs the many-flow incast selected by [`Scenario::incast_flows`]: a
+/// [`Fleet`] on the serial dumbbell, flows spread round-robin over its
+/// host pairs.
+fn run_incast(sc: &Scenario) -> RunResult {
+    let pool_before = iq_netsim::pool_stats();
+    let mut capture = Capture::default();
+    let tsink = capture.sink();
+    let (mut sim, db) = serial_dumbbell(sc);
+    sim.attach_telemetry(tsink);
+
+    let mut fleet = Fleet::new(sc, &[]);
+    let pairs = db.left_hosts.len();
+    for i in 0..sc.incast_flows {
+        let pair = i as usize % pairs;
+        let port = 1000 + i as u16;
+        fleet.add_flow(&mut sim, i, db.left_hosts[pair], db.right_hosts[pair], port);
     }
-    let mut obs = Registry::new();
-    sim.collect_obs(&mut obs, "0");
-    collect_run_obs(
-        &mut obs,
-        Some(&stats),
-        Some(&rstats),
-        iq_netsim::pool_stats().since(pool_before),
-        telemetry_evicted,
-    );
-    let first = sim.agent::<EchoSinkAgent>(rxs[0]).expect("sink 0");
-    RunResult {
-        label: "many-flow incast",
-        duration_s: duration,
-        throughput_kbps: throughput,
-        inter_arrival_s: first.metrics.inter_arrival_s(),
-        jitter_s: first.metrics.jitter_s(),
-        tagged_delay_ms: first.metrics.tagged_inter_arrival_s() * 1e3,
-        tagged_jitter_ms: first.metrics.tagged_jitter_s() * 1e3,
-        msgs_offered: offered,
-        msgs_delivered: delivered,
-        delivered_pct: if offered > 0 {
-            100.0 * delivered as f64 / offered as f64
-        } else {
-            0.0
-        },
-        jitter_series: first.metrics.jitter_series().clone(),
-        finished,
-        coordination,
-        callbacks,
-        sender_stats: Some(stats),
-        events_processed,
-        telemetry,
-        shards_used: 1,
-        phase_profile: vec![sim.phase_snapshot()],
-        sched: iq_netsim::SchedTotals::default(),
-        obs,
-        telemetry_evicted,
-    }
+    run_until_quiet(&mut sim, sc.deadline_s, |sim| {
+        fleet.rxs.iter().all(|&rx| {
+            sim.agent::<EchoSinkAgent>(rx).is_some_and(|s| s.is_finished())
+        })
+    });
+
+    let telemetry = capture.drain();
+    let engine = EngineReport::serial(&sim);
+    fleet.report(&sim, "many-flow incast", engine, telemetry, pool_before)
 }
 
 /// Runs the sharded `mega_flows` population selected by
@@ -719,13 +932,14 @@ fn run_incast(sc: &Scenario) -> RunResult {
 /// bottleneck (the shard boundary; the bottleneck's propagation delay is
 /// the conservative lookahead). Each leg spreads
 /// [`Scenario::incast_flows`] flows round-robin over up to 32 host
-/// pairs. Flows cycle by *global* index through the four incast sender
-/// classes, each pinned to a different congestion controller — marked
-/// bulk on CUBIC, the adaptive §3.3 marking source on LDA, unmarked-
-/// discard bulk on BBR, sparse-ACK bulk on RRR — so every bottleneck
-/// carries a heterogeneous mix. Executes with [`crate::runner::shards`]
-/// OS threads over the fixed 2×`mega_legs`-shard partition; every
-/// output is byte-identical for any thread count.
+/// pairs. Flows cycle by *global* index through the [`Fleet`]'s four
+/// sender classes, each pinned to a different congestion controller —
+/// marked bulk on CUBIC, the adaptive §3.3 marking source on LDA,
+/// unmarked-discard bulk on BBR, sparse-ACK bulk on RRR — so every
+/// bottleneck carries a heterogeneous mix. Executes with
+/// [`crate::runner::shards`] OS threads over the fixed
+/// 2×`mega_legs`-shard partition; every output is byte-identical for any
+/// thread count.
 fn run_mega(sc: &Scenario) -> RunResult {
     let pool_before = iq_netsim::pool_stats();
     let threads = crate::runner::shards();
@@ -734,14 +948,9 @@ fn run_mega(sc: &Scenario) -> RunResult {
         .map(|_| (sim.add_shard(), sim.add_shard()))
         .collect();
     sim.set_threads(threads);
-
-    let mut buses = Vec::new();
-    if crate::runner::telemetry_enabled() {
-        for shard in 0..sim.num_shards() {
-            let (sink, bus) = TelemetrySink::new_bus(crate::runner::telemetry_ring());
-            sim.attach_telemetry(shard, sink);
-            buses.push(bus);
-        }
+    let mut capture = Capture::default();
+    for shard in 0..sim.num_shards() {
+        sim.attach_telemetry(shard, capture.sink());
     }
 
     // Same shape as `build_dumbbell`: 10 µs access hops, so the
@@ -758,36 +967,14 @@ fn run_mega(sc: &Scenario) -> RunResult {
 
     let flows_per_leg = sc.incast_flows;
     let pairs_per_leg = (flows_per_leg as usize).clamp(1, 32);
-    let msgs_per_flow = sc.frame_sizes.len() as u64;
-    let msg_size = sc.frame_sizes.first().copied().unwrap_or(1400);
-
-    // One config per sender class, shared across every leg: flows of a
-    // class share the `Arc<RudpConfig>` (see `ConnBuilder::for_conn`).
-    let base = rudp_config(sc);
-    let mut marked_cfg = RudpConfig {
-        loss_tolerance: 0.0,
-        ..base.clone()
-    };
-    marked_cfg.cc.algorithm = CcAlgorithm::Cubic(CubicParams::default());
-    let marked = marked_cfg.builder(0, FlowId(0));
-    let adaptive = base.clone().builder(0, FlowId(0));
-    let mut unmarked_cfg = RudpConfig {
-        discard_unmarked: true,
-        ..base.clone()
-    };
-    unmarked_cfg.cc.algorithm = CcAlgorithm::BbrLike(BbrParams::default());
-    let unmarked = unmarked_cfg.builder(0, FlowId(0));
-    let mut sparse_cfg = RudpConfig {
-        loss_tolerance: 0.0,
-        ack_every: 4,
-        ..base.clone()
-    };
-    sparse_cfg.cc.algorithm = CcAlgorithm::Rrr(RrrParams::default());
-    let sparse_ack = sparse_cfg.builder(0, FlowId(0));
-
-    let mut bulk_txs = Vec::new();
-    let mut adaptive_txs = Vec::new();
-    let mut rxs = Vec::new();
+    let mut fleet = Fleet::new(
+        sc,
+        &[
+            (0, CcAlgorithm::Cubic(CubicParams::default())),
+            (2, CcAlgorithm::BbrLike(BbrParams::default())),
+            (3, CcAlgorithm::Rrr(RrrParams::default())),
+        ],
+    );
     let mut global = 0u32;
     for &(left, right) in &legs {
         let lr = sim.add_node(left);
@@ -806,41 +993,7 @@ fn run_mega(sc: &Scenario) -> RunResult {
         for i in 0..flows_per_leg {
             let pair = i as usize % pairs_per_leg;
             let port = 1000 + (i as usize / pairs_per_leg) as u16;
-            let conn_id = 1000 + global;
-            let flow = FlowId(1000 + global);
-            let peer = Addr::new(right_hosts[pair], port);
-            let class_builder = match global % 4 {
-                0 => &marked,
-                1 => &adaptive,
-                2 => &unmarked,
-                _ => &sparse_ack,
-            };
-            if global % 4 == 1 {
-                let mut cfg = SourceConfig::new(conn_id, sc.frame_sizes.clone());
-                cfg.rudp = base.clone();
-                cfg.mode = CoordinationMode::Coordinated;
-                cfg.min_adapt_gap = time::secs(sc.min_adapt_gap_s);
-                cfg.min_lower_gap = time::secs(sc.min_lower_gap_s);
-                cfg.seed = sc.seed ^ u64::from(global) ^ 0x5eed;
-                let src = AdaptiveSourceAgent::new(
-                    cfg,
-                    Policy::Marking(MarkingAdapter::default()),
-                    peer,
-                    flow,
-                );
-                adaptive_txs.push(sim.add_agent(left_hosts[pair], port, Box::new(src)));
-            } else {
-                let unmark = if global % 4 == 2 { 4 } else { 0 };
-                let driver = class_builder.for_conn(conn_id, flow).build_sender(peer);
-                let agent =
-                    iq_rudp::BulkSenderAgent::from_driver(driver, msgs_per_flow, msg_size)
-                        .unmark_every(unmark);
-                bulk_txs.push(sim.add_agent(left_hosts[pair], port, Box::new(agent)));
-            }
-            let sink = EchoSinkAgent::from_driver(
-                class_builder.for_conn(conn_id, flow).build_receiver(),
-            );
-            rxs.push(sim.add_agent(right_hosts[pair], port, Box::new(sink)));
+            fleet.add_flow(&mut sim, global, left_hosts[pair], right_hosts[pair], port);
             global += 1;
         }
     }
@@ -849,105 +1002,23 @@ fn run_mega(sc: &Scenario) -> RunResult {
     // every flow finished or the deadline elapses.
     let deadline = time::secs(sc.deadline_s);
     sim.run_slices(deadline, time::secs(1.0), |view| {
-        rxs.iter().all(|&rx| {
+        fleet.rxs.iter().all(|&rx| {
             view.with_agent::<EchoSinkAgent, _>(rx, |s| s.is_finished())
                 .unwrap_or(false)
         })
     });
 
-    // Merge per-shard telemetry in shard-index order — the same
-    // declaration-order discipline the runner uses for `-j`, so the
-    // JSONL is independent of the thread count.
-    let mut telemetry = String::new();
-    let mut telemetry_evicted = 0u64;
-    for bus in &buses {
-        let bus = bus.lock().unwrap_or_else(|e| e.into_inner());
-        telemetry.push_str(&to_jsonl(&bus.records()));
-        telemetry_evicted += bus.total_evicted();
-    }
-    let events_processed = sim.counters().events_processed;
-
-    // Aggregate exactly as the incast does: sums for volume metrics,
-    // the max for duration, flow 0's series for jitter shape.
-    let mut offered = 0u64;
-    let mut callbacks = (0u64, 0u64);
-    let mut stats = iq_rudp::SenderStats::default();
-    let mut coordination: Option<CoordinationLog> = None;
-    for &tx in &bulk_txs {
-        let a = sim.agent::<iq_rudp::BulkSenderAgent>(tx).expect("bulk sender");
-        offered += a.offered_msgs();
-        sum_sender_stats(&mut stats, &a.conn().stats());
-    }
-    for &tx in &adaptive_txs {
-        let a = sim.agent::<AdaptiveSourceAgent>(tx).expect("adaptive source");
-        offered += a.offered_msgs;
-        callbacks.0 += a.callbacks.0;
-        callbacks.1 += a.callbacks.1;
-        sum_sender_stats(&mut stats, &a.conn().stats());
-        let log = a.coordination_log();
-        match &mut coordination {
-            None => coordination = Some(log),
-            Some(agg) => {
-                agg.window_rescales += log.window_rescales;
-                agg.cond_corrections += log.cond_corrections;
-                agg.reliability_reports += log.reliability_reports;
-                agg.deferred_announcements += log.deferred_announcements;
-                agg.frequency_reports += log.frequency_reports;
-                agg.cumulative_factor *= log.cumulative_factor;
-            }
-        }
-    }
-    let mut delivered = 0u64;
-    let mut throughput = 0.0f64;
-    let mut duration = 0.0f64;
-    let mut finished = true;
-    let mut rstats = iq_rudp::ReceiverStats::default();
-    for &rx in &rxs {
-        let s = sim.agent::<EchoSinkAgent>(rx).expect("sink");
-        delivered += s.metrics.messages();
-        throughput += s.metrics.throughput_kbps();
-        duration = duration.max(s.metrics.duration_s());
-        finished &= s.is_finished();
-        sum_receiver_stats(&mut rstats, &s.conn().stats());
-    }
+    let telemetry = capture.drain();
     let mut obs = Registry::new();
     sim.collect_obs(&mut obs);
-    collect_run_obs(
-        &mut obs,
-        Some(&stats),
-        Some(&rstats),
-        iq_netsim::pool_stats().since(pool_before),
-        telemetry_evicted,
-    );
-    let first = sim.agent::<EchoSinkAgent>(rxs[0]).expect("sink 0");
-    RunResult {
-        label: "mega flows",
-        duration_s: duration,
-        throughput_kbps: throughput,
-        inter_arrival_s: first.metrics.inter_arrival_s(),
-        jitter_s: first.metrics.jitter_s(),
-        tagged_delay_ms: first.metrics.tagged_inter_arrival_s() * 1e3,
-        tagged_jitter_ms: first.metrics.tagged_jitter_s() * 1e3,
-        msgs_offered: offered,
-        msgs_delivered: delivered,
-        delivered_pct: if offered > 0 {
-            100.0 * delivered as f64 / offered as f64
-        } else {
-            0.0
-        },
-        jitter_series: first.metrics.jitter_series().clone(),
-        finished,
-        coordination,
-        callbacks,
-        sender_stats: Some(stats),
-        events_processed,
-        telemetry,
+    let engine = EngineReport {
+        events_processed: sim.counters().events_processed,
+        obs,
         shards_used: threads as u32,
         phase_profile: sim.phase_snapshots(),
         sched: sim.sched_totals(),
-        obs,
-        telemetry_evicted,
-    }
+    };
+    fleet.report(&sim, "mega flows", engine, telemetry, pool_before)
 }
 
 fn sum_receiver_stats(acc: &mut iq_rudp::ReceiverStats, s: &iq_rudp::ReceiverStats) {
@@ -961,16 +1032,17 @@ fn sum_receiver_stats(acc: &mut iq_rudp::ReceiverStats, s: &iq_rudp::ReceiverSta
 
 /// Reports run-level metrics into `reg`: aggregated RUDP endpoint
 /// counters and telemetry evictions on the sim plane (deterministic,
-/// fingerprinted), payload-pool deltas on the engine plane (the pool is
-/// thread-local, so the delta depends on which worker executed what).
-/// Sorts the registry into canonical order.
+/// fingerprinted), payload-pool deltas since `pool_before` on the engine
+/// plane (the pool is thread-local, so the delta depends on which worker
+/// executed what). Sorts the registry into canonical order.
 fn collect_run_obs(
     reg: &mut Registry,
     tx: Option<&iq_rudp::SenderStats>,
     rx: Option<&iq_rudp::ReceiverStats>,
-    pool: iq_netsim::PoolStats,
+    pool_before: PoolStats,
     telemetry_evicted: u64,
 ) {
+    let pool = iq_netsim::pool_stats().since(pool_before);
     if let Some(s) = tx {
         reg.counter(Plane::Sim, "iq_rudp_msgs_submitted_total", &[], s.msgs_submitted);
         reg.counter(Plane::Sim, "iq_rudp_msgs_discarded_total", &[], s.msgs_discarded);
@@ -1030,16 +1102,12 @@ fn sum_sender_stats(acc: &mut iq_rudp::SenderStats, s: &iq_rudp::SenderStats) {
 
 fn run_tcp(sc: &Scenario) -> RunResult {
     let pool_before = iq_netsim::pool_stats();
-    let mut sim = Simulator::new(sc.seed);
-    let mut dspec = sc.dumbbell.clone();
-    dspec.red_bottleneck = sc.red_bottleneck;
-    let db = build_dumbbell(&mut sim, &dspec);
-    add_cross_traffic(&mut sim, &db, &sc.cross, sc.deadline_s);
+    let (mut sim, db) = serial_dumbbell(sc);
 
     // The TCP baseline sends the same frame schedule greedily (TCP has
     // no application adaptation path).
     let cfg = TcpConfig::default();
-    let frames = sc.frame_sizes.clone();
+    let frames = &sc.frame_sizes;
     let total: u64 = frames.iter().map(|&s| u64::from(s)).sum();
     let msg_size = (total / frames.len().max(1) as u64).clamp(200, 64_000) as u32;
     let msgs = total / u64::from(msg_size);
@@ -1059,73 +1127,24 @@ fn run_tcp(sc: &Scenario) -> RunResult {
         1,
         Box::new(TcpSinkAgent::new(1, cfg, FlowId(1))),
     );
-    sim.profiler().enter(Phase::Execute);
-    run_until_quiet_tcp(&mut sim, sc.deadline_s, rx);
-    sim.profiler().finish();
+    run_until_quiet(&mut sim, sc.deadline_s, |sim| {
+        sim.agent::<TcpSinkAgent>(rx).is_some_and(|s| s.is_finished())
+    });
 
-    let events_processed = sim.counters().events_processed;
-    let mut obs = Registry::new();
-    sim.collect_obs(&mut obs, "0");
-    collect_run_obs(
-        &mut obs,
-        None,
-        None,
-        iq_netsim::pool_stats().since(pool_before),
-        0,
-    );
+    let mut engine = EngineReport::serial(&sim);
+    collect_run_obs(&mut engine.obs, None, None, pool_before, 0);
     let sink = sim.agent::<TcpSinkAgent>(rx).expect("sink");
-    let m = &sink.metrics;
     RunResult {
-        label: Scheme::Tcp.label(),
-        duration_s: m.duration_s(),
-        throughput_kbps: m.throughput_kbps(),
-        inter_arrival_s: m.inter_arrival_s(),
-        jitter_s: m.jitter_s(),
         tagged_delay_ms: 0.0,
         tagged_jitter_ms: 0.0,
-        msgs_offered: msgs,
-        msgs_delivered: m.messages(),
-        delivered_pct: m.delivered_pct(msgs),
-        jitter_series: m.jitter_series().clone(),
-        finished: sink.is_finished(),
-        coordination: None,
-        callbacks: (0, 0),
-        sender_stats: None,
-        events_processed,
-        telemetry: String::new(),
-        shards_used: 1,
-        phase_profile: vec![sim.phase_snapshot()],
-        sched: iq_netsim::SchedTotals::default(),
-        obs,
-        telemetry_evicted: 0,
-    }
-}
-
-/// Runs in one-second slices until the app flow finishes or `deadline_s`
-/// elapses (cross traffic would otherwise keep the heap busy forever).
-fn run_until_quiet(sim: &mut Simulator, deadline_s: f64, rx: AgentId) {
-    let deadline = time::secs(deadline_s);
-    while sim.now() < deadline {
-        sim.run_for(time::secs(1.0));
-        if sim
-            .agent::<EchoSinkAgent>(rx)
-            .is_some_and(|s| s.is_finished())
-        {
-            break;
-        }
-    }
-}
-
-fn run_until_quiet_tcp(sim: &mut Simulator, deadline_s: f64, rx: AgentId) {
-    let deadline = time::secs(deadline_s);
-    while sim.now() < deadline {
-        sim.run_for(time::secs(1.0));
-        if sim
-            .agent::<TcpSinkAgent>(rx)
-            .is_some_and(|s| s.is_finished())
-        {
-            break;
-        }
+        ..flow_result(
+            Scheme::Tcp.label(),
+            &sink.metrics,
+            msgs,
+            sink.is_finished(),
+            engine,
+            (String::new(), 0),
+        )
     }
 }
 
@@ -1300,6 +1319,103 @@ mod tests {
         let t = run_scenario(&small_scenario(Scheme::Tcp));
         assert!(t.obs.counter_total("iq_sim_events_total") > 0);
         assert_eq!(t.obs.counter_total("iq_rudp_segments_sent_total"), 0);
+    }
+
+    /// One small run per runner branch, each with telemetry capture off
+    /// and on, pinned to recorded `result_fingerprint` values: a change to
+    /// the shared set-up, run loop, capture or aggregation must leave every
+    /// one unchanged. This is the only result gate on the incast branch.
+    #[test]
+    fn every_runner_branch_keeps_its_pinned_fingerprint() {
+        let _g = crate::runner::capture_lock_for_tests();
+        let mut rudp = small_scenario(Scheme::Coordinated);
+        rudp.policy = PolicySpec::Marking;
+        rudp.cross.vbr = Some(VbrSpec {
+            fps: 500.0,
+            mean_bps: 4e6,
+            seed: 3,
+        });
+        let mut tcp = small_scenario(Scheme::Tcp);
+        tcp.red_bottleneck = true;
+        tcp.cross.tcp_bulk = true;
+        let mut incast = Scenario::incast(24, 40, 1400);
+        incast.cross.cbr_bps = Some(20e6);
+        let mut incast_bbr = Scenario::incast(12, 30, 1400);
+        incast_bbr.cc = CcAlgorithm::BbrLike(BbrParams::default());
+        let mega = Scenario::mega(2, 24, 3, 1400);
+        // (name, scenario, shard threads, fingerprint with capture off, on)
+        let probes: [(&str, &Scenario, usize, u64, u64); 6] = [
+            ("rudp+cbr+vbr", &rudp, 1, 0x0f3c_c39c_487c_a2ca, 0x5f91_8d2e_06c3_940a),
+            ("tcp+red+bulk", &tcp, 1, 0x4e56_8eff_4208_1831, 0x4e56_8eff_4208_1831),
+            ("incast+cbr", &incast, 1, 0x0e8d_d0af_e62e_6a24, 0x2ff7_fb8b_a3a2_079f),
+            ("incast bbr", &incast_bbr, 1, 0x89cf_e08f_b838_7438, 0x76c6_fb24_fe35_1158),
+            ("mega", &mega, 1, 0xd7cd_07bb_298c_2b0c, 0xb11b_a8f3_528c_ece4),
+            ("mega", &mega, 2, 0xd7cd_07bb_298c_2b0c, 0xb11b_a8f3_528c_ece4),
+        ];
+        let mut got = Vec::new();
+        for &(name, sc, threads, off, on) in &probes {
+            crate::runner::set_shards(threads);
+            for (capture, want) in [(false, off), (true, on)] {
+                crate::runner::set_telemetry_capture(capture);
+                let fp = crate::runner::result_fingerprint(&run_scenario(sc));
+                got.push((name, threads, capture, fp, want));
+            }
+        }
+        // Restore the globals before asserting, so a failure here leaves
+        // sibling tests unaffected.
+        crate::runner::set_shards(1);
+        crate::runner::set_telemetry_capture(false);
+        for &(name, threads, capture, fp, want) in &got {
+            assert_eq!(
+                fp, want,
+                "{name} at {threads} shard(s), capture {capture}: got {fp:#018x}"
+            );
+        }
+    }
+
+    // Each rejection below fires before any node or agent is built.
+
+    #[test]
+    #[should_panic(expected = "Scenario::incast_flows (flows per leg) must be at least 1")]
+    fn mega_without_flows_is_rejected() {
+        run_scenario(&Scenario::mega(1, 0, 3, 1400));
+    }
+
+    #[test]
+    #[should_panic(expected = "Scenario::incast_flows = 64537 exceeds 64535")]
+    fn incast_beyond_the_port_space_is_rejected() {
+        run_scenario(&Scenario::incast(64_537, 1, 1400));
+    }
+
+    #[test]
+    #[should_panic(expected = "puts 64536 flows on each host of a leg")]
+    fn mega_beyond_the_port_space_is_rejected() {
+        run_scenario(&Scenario::mega(1, 32 * 64_535 + 1, 1, 1400));
+    }
+
+    #[test]
+    #[should_panic(expected = "Scenario::cross: a mega run carries no cross traffic")]
+    fn mega_with_cross_traffic_is_rejected() {
+        let mut sc = Scenario::mega(1, 4, 1, 1400);
+        sc.cross.cbr_bps = Some(150e6);
+        run_scenario(&sc);
+    }
+
+    #[test]
+    #[should_panic(expected = "Scenario::red_bottleneck: a mega run's bottlenecks are drop-tail")]
+    fn mega_with_red_is_rejected() {
+        let mut sc = Scenario::mega(1, 4, 1, 1400);
+        sc.red_bottleneck = true;
+        run_scenario(&sc);
+    }
+
+    #[test]
+    #[should_panic(expected = "Scenario::dumbbell.pairs = 2 but the cross traffic needs 3")]
+    fn too_few_host_pairs_for_the_cross_traffic_is_rejected() {
+        let mut sc = small_scenario(Scheme::Tcp);
+        sc.cross.tcp_bulk = true;
+        sc.dumbbell.pairs = 2;
+        run_scenario(&sc);
     }
 
     #[test]
